@@ -41,7 +41,8 @@
 //!   kernel would sleep on.
 //! - **Per-class counters.** Acquisitions, contended acquisitions and
 //!   cumulative hold time per class, surfaced via
-//!   [`LockRegistry::class_stats`] for `bench_report --lockdep`.
+//!   [`LockRegistry::class_stats`] for `bench_report --lockdep`. Hold time
+//!   is recorded only while the registry is enabled.
 //!
 //! Reports are deduplicated per class pair (cycles), per class (nesting)
 //! and per class+operation (I/O), so a hot loop produces one finding, not
@@ -52,9 +53,11 @@
 //! the paper describes, and the bug study counts the recorded violations.
 //! [`TrackedMutex`] and [`TrackedRwLock`] wrap `parking_lot` primitives for
 //! the hot paths (buffer-cache shards, journal state, dcache shards,
-//! netstack tables); a registry constructed with
-//! [`LockRegistry::new_disabled`] skips all graph work so benchmarks can
-//! opt out of the instrumentation cost.
+//! netstack tables). A registry constructed with
+//! [`LockRegistry::new_disabled`] makes them nearly free: each acquisition
+//! costs one relaxed load of the enabled flag plus the acquisition (and,
+//! if contended, contention) counter increments — no clock read, no graph
+//! or held-stack work, so benchmarks measure the uninstrumented hot path.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -117,7 +120,9 @@ pub struct ClassStats {
     pub acquisitions: u64,
     /// Acquisitions that found the lock held and had to block.
     pub contended: u64,
-    /// Cumulative wall-clock hold time in nanoseconds.
+    /// Cumulative wall-clock hold time in nanoseconds, recorded only for
+    /// acquisitions made while the registry was enabled (a disabled
+    /// registry reads no clock).
     pub held_ns: u64,
 }
 
@@ -214,10 +219,10 @@ impl LockRegistry {
         Arc::new(LockRegistry::default())
     }
 
-    /// Creates a registry with lockdep checking disabled: counters still
-    /// accumulate, but no graph or held-stack work happens for the
-    /// tracked wrapper types (benchmarks use this to measure the
-    /// uninstrumented hot path).
+    /// Creates a registry with lockdep checking disabled: acquisition and
+    /// contention counters still accumulate, but no clock read, graph or
+    /// held-stack work happens for the tracked wrapper types (benchmarks
+    /// use this to measure the uninstrumented hot path).
     pub fn new_disabled() -> Arc<Self> {
         let r = LockRegistry::default();
         r.enabled.store(false, Ordering::Relaxed);
@@ -540,12 +545,9 @@ impl<T> Drop for KLockGuard<'_, T> {
     }
 }
 
-/// A `parking_lot::Mutex` whose acquisitions feed the lockdep graph.
-///
-/// This is the hot-path primitive: when the registry is disabled the only
-/// overhead over the raw mutex is three relaxed atomic counter updates.
-pub struct TrackedMutex<T> {
-    mutex: Mutex<T>,
+/// A tracked lock's registry identity and the per-acquisition bookkeeping
+/// shared by [`TrackedMutex`] and [`TrackedRwLock`].
+struct Tracking {
     id: LockId,
     class: u32,
     rank: Option<u64>,
@@ -553,12 +555,73 @@ pub struct TrackedMutex<T> {
     registry: Arc<LockRegistry>,
 }
 
+impl Tracking {
+    fn new(
+        registry: &Arc<LockRegistry>,
+        name: &'static str,
+        rank: Option<u64>,
+        io_ok: bool,
+    ) -> Self {
+        let (id, class, counters) = registry.register(name, io_ok);
+        Tracking {
+            id,
+            class,
+            rank,
+            counters,
+            registry: Arc::clone(registry),
+        }
+    }
+
+    fn note_contended(&self) {
+        self.counters.contended.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one acquisition and — only when the registry is enabled,
+    /// read once here — registers it and returns the hold-clock start. A
+    /// disabled registry costs one relaxed load and one relaxed
+    /// increment: no clock read and no registry call.
+    fn note_acquire(&self, trylock: bool) -> Option<Instant> {
+        self.counters.acquisitions.fetch_add(1, Ordering::Relaxed);
+        if !self.registry.is_enabled() {
+            return None;
+        }
+        self.registry
+            .on_acquire(self.id, self.class, self.rank, trylock);
+        Some(Instant::now())
+    }
+
+    /// Undoes [`Tracking::note_acquire`]: for a registered hold (`since`
+    /// is `Some`), adds its hold time and pops it from the held stack.
+    /// Callers release the underlying lock only afterwards, so a racing
+    /// acquirer never observes us as "still holding".
+    fn note_release(&self, since: Option<Instant>) {
+        if let Some(since) = since {
+            self.counters
+                .held_ns
+                .fetch_add(since.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            self.registry.on_release(self.id);
+        }
+    }
+}
+
+/// A `parking_lot::Mutex` whose acquisitions feed the lockdep graph.
+///
+/// This is the hot-path primitive: when the registry is disabled the only
+/// overhead over the raw mutex is one relaxed load of the enabled flag and
+/// one relaxed acquisition-counter increment (two on a contended
+/// acquisition). Hold time is measured only while the registry is enabled.
+pub struct TrackedMutex<T> {
+    mutex: Mutex<T>,
+    track: Tracking,
+}
+
 /// Guard for a [`TrackedMutex`].
 pub struct TrackedMutexGuard<'a, T> {
     guard: Option<MutexGuard<'a, T>>,
     lock: &'a TrackedMutex<T>,
-    registered: bool,
-    since: Instant,
+    /// Acquisition time; `Some` exactly when the acquisition was
+    /// registered with an enabled registry.
+    since: Option<Instant>,
 }
 
 impl<T> TrackedMutex<T> {
@@ -569,14 +632,9 @@ impl<T> TrackedMutex<T> {
         io_ok: bool,
         value: T,
     ) -> Self {
-        let (id, class, counters) = registry.register(name, io_ok);
         TrackedMutex {
             mutex: Mutex::new(value),
-            id,
-            class,
-            rank,
-            counters,
-            registry: Arc::clone(registry),
+            track: Tracking::new(registry, name, rank, io_ok),
         }
     }
 
@@ -622,21 +680,14 @@ impl<T> TrackedMutex<T> {
         let guard = match self.mutex.try_lock() {
             Some(g) => g,
             None => {
-                self.counters.contended.fetch_add(1, Ordering::Relaxed);
+                self.track.note_contended();
                 self.mutex.lock()
             }
         };
-        self.counters.acquisitions.fetch_add(1, Ordering::Relaxed);
-        let registered = self.registry.is_enabled();
-        if registered {
-            self.registry
-                .on_acquire(self.id, self.class, self.rank, false);
-        }
         TrackedMutexGuard {
             guard: Some(guard),
             lock: self,
-            registered,
-            since: Instant::now(),
+            since: self.track.note_acquire(false),
         }
     }
 
@@ -644,67 +695,29 @@ impl<T> TrackedMutex<T> {
     /// or opportunistic trylock is not an ordering commitment).
     pub fn try_lock(&self) -> Option<TrackedMutexGuard<'_, T>> {
         let guard = self.mutex.try_lock()?;
-        self.counters.acquisitions.fetch_add(1, Ordering::Relaxed);
-        let registered = self.registry.is_enabled();
-        if registered {
-            self.registry
-                .on_acquire(self.id, self.class, self.rank, true);
-        }
         Some(TrackedMutexGuard {
             guard: Some(guard),
             lock: self,
-            registered,
-            since: Instant::now(),
+            since: self.track.note_acquire(true),
         })
     }
 }
 
 impl<'a, T> TrackedMutexGuard<'a, T> {
-    fn flush_hold_time(&mut self) {
-        self.lock
-            .counters
-            .held_ns
-            .fetch_add(self.since.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    }
-
     /// Blocks on `cv`, releasing the mutex while waiting. The lock is
     /// de-registered for the duration — a waiter holds nothing.
     pub fn wait(&mut self, cv: &Condvar) {
-        self.flush_hold_time();
-        if self.registered {
-            self.lock.registry.on_release(self.lock.id);
-        }
+        self.lock.track.note_release(self.since.take());
         cv.wait(self.guard.as_mut().expect("guard present until drop"));
-        if self.registered {
-            self.lock
-                .registry
-                .on_acquire(self.lock.id, self.lock.class, self.lock.rank, false);
-        }
-        self.lock
-            .counters
-            .acquisitions
-            .fetch_add(1, Ordering::Relaxed);
-        self.since = Instant::now();
+        self.since = self.lock.track.note_acquire(false);
     }
 
     /// Temporarily releases the mutex around `f` (device I/O without the
     /// lock), re-acquiring afterwards.
     pub fn unlocked<R>(&mut self, f: impl FnOnce() -> R) -> R {
-        self.flush_hold_time();
-        if self.registered {
-            self.lock.registry.on_release(self.lock.id);
-        }
+        self.lock.track.note_release(self.since.take());
         let r = MutexGuard::unlocked(self.guard.as_mut().expect("guard present until drop"), f);
-        if self.registered {
-            self.lock
-                .registry
-                .on_acquire(self.lock.id, self.lock.class, self.lock.rank, false);
-        }
-        self.lock
-            .counters
-            .acquisitions
-            .fetch_add(1, Ordering::Relaxed);
-        self.since = Instant::now();
+        self.since = self.lock.track.note_acquire(false);
         r
     }
 }
@@ -724,10 +737,7 @@ impl<T> std::ops::DerefMut for TrackedMutexGuard<'_, T> {
 
 impl<T> Drop for TrackedMutexGuard<'_, T> {
     fn drop(&mut self) {
-        self.flush_hold_time();
-        if self.registered {
-            self.lock.registry.on_release(self.lock.id);
-        }
+        self.lock.track.note_release(self.since.take());
         drop(self.guard.take());
     }
 }
@@ -738,27 +748,25 @@ impl<T> Drop for TrackedMutexGuard<'_, T> {
 /// writes: a reader blocking on a writer deadlocks the same way.
 pub struct TrackedRwLock<T> {
     rw: RwLock<T>,
-    id: LockId,
-    class: u32,
-    rank: Option<u64>,
-    counters: Arc<ClassCounters>,
-    registry: Arc<LockRegistry>,
+    track: Tracking,
 }
 
 /// Shared-read guard for a [`TrackedRwLock`].
 pub struct TrackedReadGuard<'a, T> {
     guard: Option<RwLockReadGuard<'a, T>>,
     lock: &'a TrackedRwLock<T>,
-    registered: bool,
-    since: Instant,
+    /// Acquisition time; `Some` exactly when the acquisition was
+    /// registered with an enabled registry.
+    since: Option<Instant>,
 }
 
 /// Exclusive-write guard for a [`TrackedRwLock`].
 pub struct TrackedWriteGuard<'a, T> {
     guard: Option<RwLockWriteGuard<'a, T>>,
     lock: &'a TrackedRwLock<T>,
-    registered: bool,
-    since: Instant,
+    /// Acquisition time; `Some` exactly when the acquisition was
+    /// registered with an enabled registry.
+    since: Option<Instant>,
 }
 
 impl<T> TrackedRwLock<T> {
@@ -769,14 +777,9 @@ impl<T> TrackedRwLock<T> {
         io_ok: bool,
         value: T,
     ) -> Self {
-        let (id, class, counters) = registry.register(name, io_ok);
         TrackedRwLock {
             rw: RwLock::new(value),
-            id,
-            class,
-            rank,
-            counters,
-            registry: Arc::clone(registry),
+            track: Tracking::new(registry, name, rank, io_ok),
         }
     }
 
@@ -796,31 +799,19 @@ impl<T> TrackedRwLock<T> {
         Self::build(registry, name, Some(rank), false, value)
     }
 
-    fn note_acquire(&self, trylock: bool) -> bool {
-        self.counters.acquisitions.fetch_add(1, Ordering::Relaxed);
-        let registered = self.registry.is_enabled();
-        if registered {
-            self.registry
-                .on_acquire(self.id, self.class, self.rank, trylock);
-        }
-        registered
-    }
-
     /// Acquires a shared read guard.
     pub fn read(&self) -> TrackedReadGuard<'_, T> {
         let guard = match self.rw.try_read() {
             Some(g) => g,
             None => {
-                self.counters.contended.fetch_add(1, Ordering::Relaxed);
+                self.track.note_contended();
                 self.rw.read()
             }
         };
-        let registered = self.note_acquire(false);
         TrackedReadGuard {
             guard: Some(guard),
             lock: self,
-            registered,
-            since: Instant::now(),
+            since: self.track.note_acquire(false),
         }
     }
 
@@ -829,28 +820,24 @@ impl<T> TrackedRwLock<T> {
         let guard = match self.rw.try_write() {
             Some(g) => g,
             None => {
-                self.counters.contended.fetch_add(1, Ordering::Relaxed);
+                self.track.note_contended();
                 self.rw.write()
             }
         };
-        let registered = self.note_acquire(false);
         TrackedWriteGuard {
             guard: Some(guard),
             lock: self,
-            registered,
-            since: Instant::now(),
+            since: self.track.note_acquire(false),
         }
     }
 
     /// Opportunistic write acquisition; exempt from ordering checks.
     pub fn try_write(&self) -> Option<TrackedWriteGuard<'_, T>> {
         let guard = self.rw.try_write()?;
-        let registered = self.note_acquire(true);
         Some(TrackedWriteGuard {
             guard: Some(guard),
             lock: self,
-            registered,
-            since: Instant::now(),
+            since: self.track.note_acquire(true),
         })
     }
 }
@@ -866,13 +853,7 @@ macro_rules! rw_guard_impl {
 
         impl<T> Drop for $guard<'_, T> {
             fn drop(&mut self) {
-                self.lock
-                    .counters
-                    .held_ns
-                    .fetch_add(self.since.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                if self.registered {
-                    self.lock.registry.on_release(self.lock.id);
-                }
+                self.lock.track.note_release(self.since.take());
                 drop(self.guard.take());
             }
         }
@@ -1223,6 +1204,71 @@ mod tests {
         let stats = reg.class_stats();
         assert_eq!(stats.len(), 2);
         assert!(stats.iter().all(|s| s.acquisitions == 2));
+    }
+
+    /// Holds one lock of each tracked kind across a 2 ms sleep — a plain
+    /// mutex, an rwlock read and write, and a mutex re-acquired by a
+    /// condvar `wait` and by `unlocked` — and returns each class's
+    /// `held_ns`.
+    fn held_ns_across_sleeps(reg: &Arc<LockRegistry>) -> Vec<(&'static str, u64)> {
+        let nap = || std::thread::sleep(std::time::Duration::from_millis(2));
+        let m = TrackedMutex::new(reg, "mutex", ());
+        let rw = TrackedRwLock::new(reg, "rw", ());
+        let around_unlocked = TrackedMutex::new(reg, "unlocked", ());
+        let around_wait = Arc::new(TrackedMutex::new(reg, "wait", false));
+        let cv = Arc::new(Condvar::new());
+        {
+            let _g = m.lock();
+            nap();
+        }
+        {
+            let _g = rw.read();
+            nap();
+        }
+        {
+            let _g = rw.write();
+            nap();
+        }
+        {
+            let mut g = around_unlocked.lock();
+            g.unlocked(|| ());
+            nap();
+        }
+        {
+            let mut g = around_wait.lock();
+            let notifier = {
+                let (m, cv) = (Arc::clone(&around_wait), Arc::clone(&cv));
+                std::thread::spawn(move || {
+                    *m.lock() = true;
+                    cv.notify_all();
+                })
+            };
+            while !*g {
+                g.wait(&cv);
+            }
+            nap();
+            drop(g);
+            notifier.join().unwrap();
+        }
+        reg.class_stats()
+            .into_iter()
+            .map(|s| (s.name, s.held_ns))
+            .collect()
+    }
+
+    /// A disabled registry reads no clock, so no hold time accrues on any
+    /// tracked path (the re-acquire after `wait`/`unlocked` included); an
+    /// enabled one still measures every hold.
+    #[test]
+    fn hold_time_is_recorded_only_while_enabled() {
+        for (name, held) in held_ns_across_sleeps(&LockRegistry::new_disabled()) {
+            assert_eq!(held, 0, "{name}: disabled registry recorded hold time");
+        }
+        let enabled = held_ns_across_sleeps(&LockRegistry::new());
+        assert_eq!(enabled.len(), 4);
+        for (name, held) in enabled {
+            assert!(held >= 2_000_000, "{name}: held_ns {held} < 2 ms");
+        }
     }
 
     #[test]

@@ -348,8 +348,10 @@ pub enum Channel {
     },
 }
 
-/// Socket-table shard count (power of two, buffer-cache idiom).
+/// Socket-table shard count (power of two, buffer-cache idiom; at most 32
+/// so one `AtomicU32` mirrors which shards are occupied).
 const SHARDS: usize = 16;
+const _: () = assert!(SHARDS.is_power_of_two() && SHARDS <= 32);
 
 /// Default ephemeral-port range (IANA dynamic range).
 const EPHEMERAL_LO: u16 = 49152;
@@ -388,6 +390,13 @@ pub struct ModularStack {
     /// ranked so nested ascending sweeps would stay legal — the code
     /// never holds two shards at once regardless).
     sock_shards: Vec<TrackedMutex<BTreeMap<u64, SockEntry>>>,
+    /// Bit `i` is set while socket shard `i` is non-empty, so the
+    /// whole-table sweeps (`tick`, `reap_closed`) lock only occupied
+    /// shards. Written only under shard `i`'s lock, after every insert
+    /// and remove, so it matches the map whenever that lock is free: a
+    /// lock-free reader may see a bit stale-high (and visit an empty
+    /// shard) but never miss a socket inserted before its read.
+    occupied: AtomicU32,
     /// Flow-demux shards: `(proto, local, remote)` → fd (lockdep class
     /// `net.conn_index`).
     conn_index: Vec<TrackedMutex<FlowMap>>,
@@ -447,6 +456,7 @@ impl ModularStack {
             wire,
             clock,
             sock_shards,
+            occupied: AtomicU32::new(0),
             conn_index,
             port_index: TrackedMutex::new(&locks, "net.port_index", BTreeMap::new()),
             ports: TrackedMutex::new(
@@ -476,6 +486,44 @@ impl ModularStack {
 
     fn fd_shard(fd: u64) -> usize {
         (fd as usize) & (SHARDS - 1)
+    }
+
+    /// Mirrors socket shard `i`'s emptiness into [`Self::occupied`]; call
+    /// with that shard's lock held, after inserting into or removing
+    /// from it.
+    fn mark_occupancy(&self, i: usize, shard: &BTreeMap<u64, SockEntry>) {
+        let bit = 1u32 << i;
+        if shard.is_empty() {
+            self.occupied.fetch_and(!bit, Ordering::Relaxed);
+        } else {
+            self.occupied.fetch_or(bit, Ordering::Relaxed);
+        }
+    }
+
+    /// Socket shards that may hold entries, in index order, so a sweep
+    /// keeps the visit order (and the emitted packet order) of a walk
+    /// over every shard.
+    fn occupied_shards(
+        &self,
+    ) -> impl Iterator<Item = (usize, &TrackedMutex<BTreeMap<u64, SockEntry>>)> {
+        self.sock_shards
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| self.occupied.load(Ordering::Relaxed) & (1 << i) != 0)
+    }
+
+    /// Inserts a fresh socket entry under `fd`.
+    fn insert_sock(&self, fd: u64, sock: Box<dyn ProtoSocket>) {
+        let i = Self::fd_shard(fd);
+        let mut shard = self.sock_shards[i].lock();
+        shard.insert(
+            fd,
+            SockEntry {
+                sock,
+                released: false,
+            },
+        );
+        self.mark_occupancy(i, &shard);
     }
 
     fn conn_shard(local: u16, remote: u16) -> usize {
@@ -518,13 +566,7 @@ impl ModularStack {
             }
             ports.insert((proto_num, local_port), fd);
         }
-        self.sock_shards[Self::fd_shard(fd)].lock().insert(
-            fd,
-            SockEntry {
-                sock,
-                released: false,
-            },
-        );
+        self.insert_sock(fd, sock);
         Ok(fd)
     }
 
@@ -587,13 +629,15 @@ impl ModularStack {
     /// defunct) to free its 4-tuple/port; refuses live connections.
     fn force_reap_if_done(&self, fd: u64) -> bool {
         let ident = {
-            let mut shard = self.sock_shards[Self::fd_shard(fd)].lock();
+            let i = Self::fd_shard(fd);
+            let mut shard = self.sock_shards[i].lock();
             match shard.get(&fd) {
                 // Already gone — the stale reference is free.
                 None => return true,
                 Some(e) if e.sock.in_time_wait() || e.sock.reapable() => {
                     let tw = e.sock.in_time_wait();
                     let e = shard.remove(&fd).expect("entry just found");
+                    self.mark_occupancy(i, &shard);
                     (
                         e.sock.protocol(),
                         e.sock.local_port(),
@@ -684,13 +728,7 @@ impl ModularStack {
         };
         let (local, remote) = (child.local_port(), child.remote_port());
         let new_fd = self.next_fd.fetch_add(1, Ordering::Relaxed);
-        self.sock_shards[Self::fd_shard(new_fd)].lock().insert(
-            new_fd,
-            SockEntry {
-                sock: child,
-                released: false,
-            },
-        );
+        self.insert_sock(new_fd, child);
         // Route the flow to its own fd; the listener stops seeing these
         // segments. Overwriting is correct: any previous owner of the
         // 4-tuple is a dead incarnation (a live one would have absorbed
@@ -788,7 +826,8 @@ impl ModularStack {
     pub fn close(&self, fd: u64) -> KResult<()> {
         let now = self.clock.now_ns();
         let (pkts, done, ident) = {
-            let mut shard = self.sock_shards[Self::fd_shard(fd)].lock();
+            let i = Self::fd_shard(fd);
+            let mut shard = self.sock_shards[i].lock();
             let e = shard.get_mut(&fd).ok_or(Errno::EBADF)?;
             if e.released {
                 return Err(Errno::EBADF);
@@ -799,6 +838,7 @@ impl ModularStack {
             let ident = (e.sock.protocol(), e.sock.local_port(), e.sock.remote_port());
             if done {
                 shard.remove(&fd);
+                self.mark_occupancy(i, &shard);
             }
             (pkts, done, ident)
         };
@@ -814,7 +854,8 @@ impl ModularStack {
     /// the FIN handshake runs to completion behind the dead fd.
     fn deliver(&self, fd: u64, pkt: &Packet, now: u64) -> bool {
         let (out, reaped) = {
-            let mut shard = self.sock_shards[Self::fd_shard(fd)].lock();
+            let i = Self::fd_shard(fd);
+            let mut shard = self.sock_shards[i].lock();
             match shard.get_mut(&fd) {
                 Some(e) => {
                     let out = e.sock.on_packet(pkt, now);
@@ -824,6 +865,7 @@ impl ModularStack {
                     let reaped = if e.released && e.sock.close_finished() {
                         let ident = (e.sock.protocol(), e.sock.local_port(), e.sock.remote_port());
                         shard.remove(&fd);
+                        self.mark_occupancy(i, &shard);
                         Some(ident)
                     } else {
                         None
@@ -898,11 +940,11 @@ impl ModularStack {
         Ok(count)
     }
 
-    /// Timer tick on every socket, one shard at a time (no global lock),
-    /// reaping closed sockets whose teardown has finished.
+    /// Timer tick on every socket, one occupied shard at a time (no
+    /// global lock), reaping closed sockets whose teardown has finished.
     pub fn tick(&self) {
         let now = self.clock.now_ns();
-        for shard in &self.sock_shards {
+        for (i, shard) in self.occupied_shards() {
             let (out, reaped) = {
                 let mut guard = shard.lock();
                 let mut out = Vec::new();
@@ -920,6 +962,9 @@ impl ModularStack {
                 }
                 for (fd, ..) in &reaped {
                     guard.remove(fd);
+                }
+                if !reaped.is_empty() {
+                    self.mark_occupancy(i, &guard);
                 }
                 (out, reaped)
             };
@@ -1013,7 +1058,7 @@ impl ModularStack {
     /// whose teardown completed. Returns how many were reaped.
     pub fn reap_closed(&self) -> usize {
         let mut total = 0;
-        for shard in &self.sock_shards {
+        for (i, shard) in self.occupied_shards() {
             let reaped: Vec<(u64, u8, u16, u16)> = {
                 let mut guard = shard.lock();
                 let dead: Vec<(u64, u8, u16, u16)> = guard
@@ -1033,6 +1078,9 @@ impl ModularStack {
                     .collect();
                 for (fd, ..) in &dead {
                     guard.remove(fd);
+                }
+                if !dead.is_empty() {
+                    self.mark_occupancy(i, &guard);
                 }
                 dead
             };
@@ -1432,6 +1480,62 @@ mod tests {
         a.connect(fd3, 80).unwrap();
         pump_both(&a, &b);
         assert_eq!(raw_state(&a, fd3), Some(TcpState::Established));
+    }
+
+    fn socket_lock_acquisitions(stack: &ModularStack) -> u64 {
+        stack
+            .lock_registry()
+            .class_stats()
+            .iter()
+            .find(|s| s.name == "net.sockets")
+            .map_or(0, |s| s.acquisitions)
+    }
+
+    /// The idle-round cost: a tick locks the shards that hold sockets,
+    /// not all of them, and stops visiting a shard once it empties.
+    #[test]
+    fn tick_locks_only_occupied_socket_shards() {
+        let (a, _, _) = pair();
+        let fds: Vec<u64> = (0..3).map(|i| a.socket("udp", 1000 + i).unwrap()).collect();
+        let before = socket_lock_acquisitions(&a);
+        a.tick();
+        let added = socket_lock_acquisitions(&a) - before;
+        assert!(
+            added <= 3,
+            "tick took {added} net.sockets locks for 3 sockets (of {SHARDS} shards)"
+        );
+        for fd in fds {
+            a.close(fd).unwrap();
+        }
+        assert_eq!(a.live_sockets(), 0);
+        let before = socket_lock_acquisitions(&a);
+        a.tick();
+        a.reap_closed();
+        assert_eq!(
+            socket_lock_acquisitions(&a),
+            before,
+            "empty table: no locks"
+        );
+    }
+
+    /// The occupancy mirror is never stale-low: a socket inserted into a
+    /// shard the stack has already ticked while empty is still ticked,
+    /// so its lost SYN retransmits on RTO.
+    #[test]
+    fn socket_in_a_previously_empty_shard_retransmits_on_rto() {
+        let clock = Arc::new(SimClock::new());
+        let wire = Arc::new(Wire::new());
+        let (a, _b) = pair_on(Arc::clone(&wire), Arc::clone(&clock));
+        a.tick(); // every shard empty
+        let client = a.socket("tcp", 5000).unwrap();
+        a.connect(client, 80).unwrap();
+        let syn = wire.recv(Side::B).unwrap().expect("SYN sent");
+        assert_eq!(wire.recv(Side::B).unwrap(), None, "the SYN is lost");
+        clock.advance(DEFAULT_RTO_NS + 1);
+        a.tick();
+        let again = wire.recv(Side::B).unwrap().expect("SYN retransmitted");
+        assert_eq!((again.flags, again.seq), (syn.flags, syn.seq));
+        assert_eq!(a.tcp_counters(client).unwrap().retransmits, 1);
     }
 
     #[test]

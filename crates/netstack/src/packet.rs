@@ -9,10 +9,15 @@
 //!
 //! Decoding is strict: short frames, bad lengths, unknown protocol
 //! numbers, and checksum mismatches are `EBADMSG`, never a sliced-anyway
-//! read. The checksum (FNV-1a over header fields and payload) is what
-//! turns a corrupting link into a *detected* loss: a flipped bit anywhere
-//! in the frame fails verification and the frame is dropped, so TCP's
-//! retransmission machinery heals it instead of delivering garbage.
+//! read. The checksum is what turns a corrupting link into a *detected*
+//! loss: `csum` is chosen so that the CRC-32 of the whole frame, `csum`
+//! included, is zero, making the frame one contiguous CRC codeword. So
+//! any one- or two-bit flip, or any burst of up to 32 bits, anywhere in a
+//! full-size frame fails verification — bursts straddling `csum`
+//! included — and the frame is dropped, so TCP's retransmission
+//! machinery heals it instead of delivering garbage. The CRC is
+//! table-driven, eight bytes per step (slicing-by-8), with the tables
+//! built at compile time.
 
 use sk_ksim::errno::{Errno, KResult};
 
@@ -43,6 +48,119 @@ pub const HEADER_LEN: usize = 20;
 
 /// Maximum payload per packet (the wire MTU minus headers).
 pub const MAX_PAYLOAD: usize = 1000;
+
+/// Offset of the `csum` field.
+const CSUM_AT: usize = 16;
+
+/// The reflected CRC-32 (IEEE 802.3) polynomial.
+const POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-8 tables for the reflected CRC-32 (IEEE 802.3) polynomial:
+/// `CRC_TABLES[0]` is the classic byte-at-a-time table, and
+/// `CRC_TABLES[k][b]` is byte `b`'s contribution followed by `k` zero
+/// bytes, so eight table lookups advance the CRC by eight bytes.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut c = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
+            bit += 1;
+        }
+        t[0][b] = c;
+        b += 1;
+    }
+    let mut b = 0;
+    while b < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            k += 1;
+        }
+        b += 1;
+    }
+    t
+}
+
+/// Advances the (pre-inverted) CRC-32 register `crc` over `bytes`.
+fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xff) as usize];
+    }
+    crc
+}
+
+/// The standard CRC-32 of `bytes`.
+fn crc32(bytes: &[u8]) -> u32 {
+    !crc32_update(!0, bytes)
+}
+
+/// `a · b mod P` for polynomials in the CRC register's reflected form
+/// (bit 31 is x^0).
+const fn mulmod(a: u32, mut b: u32) -> u32 {
+    let mut p = 0;
+    let mut m = 1u32 << 31;
+    while m != 0 {
+        if a & m != 0 {
+            p ^= b;
+        }
+        m >>= 1;
+        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
+    }
+    p
+}
+
+/// `X_INV_8[k]` is x^(-8k) mod P: it undoes `k` bytes of register
+/// advance. Indexed by the bytes from `csum` to the end of a frame.
+static X_INV_8: [u32; MAX_PAYLOAD + 5] = {
+    // x^-1 = x^31 + (P(x) - 1)/x, as P has a unit constant term.
+    let x_inv = ((POLY & !(1 << 31)) << 1) | 1;
+    let mut x_inv_8 = 1u32 << 31;
+    let mut i = 0;
+    while i < 8 {
+        x_inv_8 = mulmod(x_inv_8, x_inv);
+        i += 1;
+    }
+    let mut t = [0u32; MAX_PAYLOAD + 5];
+    t[0] = 1 << 31;
+    let mut k = 1;
+    while k < t.len() {
+        t[k] = mulmod(t[k - 1], x_inv_8);
+        k += 1;
+    }
+    t
+};
+
+/// The `csum` value that makes the CRC-32 of `frame` zero, given `frame`
+/// with its `csum` field zeroed. The CRC register is affine in `csum`:
+/// its bytes enter the register directly and then advance through the
+/// rest of the frame, i.e. are multiplied by x^(8·(frame.len() − 16)),
+/// so `csum` is the zeroed frame's CRC divided by that. A frame too long
+/// for any valid length gets 0: `decode` refuses it by length first.
+fn csum_for(frame: &[u8]) -> u32 {
+    X_INV_8
+        .get(frame.len() - CSUM_AT)
+        .map_or(0, |&inv| mulmod(crc32(frame), inv))
+}
 
 /// A network packet.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,32 +195,6 @@ impl Packet {
         }
     }
 
-    /// FNV-1a over everything but the checksum field itself.
-    fn checksum(&self) -> u32 {
-        let mut h: u32 = 0x811c_9dc5;
-        let mut mix = |b: u8| {
-            h ^= u32::from(b);
-            h = h.wrapping_mul(0x0100_0193);
-        };
-        mix(self.proto);
-        mix(self.flags);
-        for b in self
-            .src_port
-            .to_le_bytes()
-            .into_iter()
-            .chain(self.dst_port.to_le_bytes())
-            .chain((self.payload.len() as u16).to_le_bytes())
-            .chain(self.seq.to_le_bytes())
-            .chain(self.ack.to_le_bytes())
-        {
-            mix(b);
-        }
-        for &b in &self.payload {
-            mix(b);
-        }
-        h
-    }
-
     /// Serializes to wire bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len());
@@ -113,8 +205,10 @@ impl Packet {
         out.extend_from_slice(&(self.payload.len() as u16).to_le_bytes());
         out.extend_from_slice(&self.seq.to_le_bytes());
         out.extend_from_slice(&self.ack.to_le_bytes());
-        out.extend_from_slice(&self.checksum().to_le_bytes());
+        out.extend_from_slice(&[0; 4]);
         out.extend_from_slice(&self.payload);
+        let csum = csum_for(&out);
+        out[CSUM_AT..HEADER_LEN].copy_from_slice(&csum.to_le_bytes());
         out
     }
 
@@ -131,7 +225,10 @@ impl Packet {
         if !matches!(proto, proto::TCP | proto::UDP | proto::AMP_CTRL) {
             return Err(Errno::EPROTONOSUPPORT);
         }
-        let pkt = Packet {
+        if crc32(bytes) != 0 {
+            return Err(Errno::EBADMSG);
+        }
+        Ok(Packet {
             proto,
             flags: bytes[1],
             src_port: u16::from_le_bytes(bytes[2..4].try_into().expect("2 bytes")),
@@ -139,12 +236,7 @@ impl Packet {
             seq: u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")),
             ack: u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes")),
             payload: bytes[HEADER_LEN..].to_vec(),
-        };
-        let csum = u32::from_le_bytes(bytes[16..20].try_into().expect("4 bytes"));
-        if csum != pkt.checksum() {
-            return Err(Errno::EBADMSG);
-        }
-        Ok(pkt)
+        })
     }
 }
 
@@ -206,5 +298,98 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn crc32_known_answer() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        // Every split of the input (table path vs byte tail) agrees.
+        for cut in 0..=9 {
+            let (a, b) = b"123456789".split_at(cut);
+            assert_eq!(!crc32_update(crc32_update(!0, a), b), 0xCBF4_3926);
+        }
+    }
+
+    #[test]
+    fn every_encoded_frame_is_a_crc_codeword() {
+        for len in [0, 1, 7, 8, 9, 63, 500, MAX_PAYLOAD] {
+            let mut p = Packet::new(proto::UDP, 1, 2);
+            p.payload = (0..len).map(|i| (i * 13 + len) as u8).collect();
+            let bytes = p.encode();
+            assert_eq!(crc32(&bytes), 0, "payload {len}");
+            assert_eq!(Packet::decode(&bytes).unwrap(), p);
+        }
+    }
+
+    /// Over GF(2) the frame CRC is affine, so a set of flipped bits goes
+    /// unnoticed exactly when the XOR of the flips' per-bit *syndromes*
+    /// (the CRC change each one causes alone) is zero. Over a 1000-byte
+    /// frame: every 1-bit flip is detected iff every syndrome is non-zero,
+    /// every 2-bit flip iff the syndromes are pairwise distinct, and every
+    /// burst of at most 32 bits iff the syndromes of each 32 consecutive
+    /// bits are linearly independent (then no non-empty subset of a 32-bit
+    /// window XORs to zero).
+    #[test]
+    fn all_one_and_two_bit_flips_and_short_bursts_are_detected() {
+        let mut p = Packet::new(proto::TCP, 80, 1234);
+        p.flags = flags::ACK;
+        p.seq = 7;
+        p.ack = 9;
+        p.payload = (0..1000 - HEADER_LEN).map(|i| (i * 31 + 7) as u8).collect();
+        let clean = p.encode();
+        assert_eq!(clean.len(), 1000);
+        let flip = |f: &mut Vec<u8>, i: usize| f[i / 8] ^= 1 << (i % 8);
+        let bits = clean.len() * 8;
+        let syndromes: Vec<u32> = (0..bits)
+            .map(|i| {
+                let mut dirty = clean.clone();
+                flip(&mut dirty, i);
+                // Every single flip is also refused end to end.
+                assert!(Packet::decode(&dirty).is_err(), "1-bit flip {i} undetected");
+                crc32(&dirty)
+            })
+            .collect();
+
+        // 2-bit flips: pairwise-distinct syndromes.
+        let mut sorted = syndromes.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(sorted.len(), bits, "two flips share a syndrome");
+        let mut dirty = clean.clone();
+        flip(&mut dirty, 3 * 8 + 1);
+        flip(&mut dirty, 700 * 8 + 5);
+        assert!(
+            Packet::decode(&dirty).is_err(),
+            "sampled 2-bit flip undetected"
+        );
+
+        // Bursts of ≤ 32 bits: each 32-bit window has full rank, the
+        // windows straddling `csum` included.
+        for start in 0..=bits - 32 {
+            let mut basis = [0u32; 32]; // basis[b]: a vector whose top bit is b
+            for &v in &syndromes[start..start + 32] {
+                let mut v = v;
+                while v != 0 {
+                    let top = 31 - v.leading_zeros() as usize;
+                    if basis[top] == 0 {
+                        basis[top] = v;
+                        break;
+                    }
+                    v ^= basis[top];
+                }
+                assert_ne!(
+                    v,
+                    0,
+                    "a burst within bits {start}..{} is undetected",
+                    start + 32
+                );
+            }
+        }
+        let mut burst = clean.clone();
+        (126..158).for_each(|i| flip(&mut burst, i));
+        assert!(
+            Packet::decode(&burst).is_err(),
+            "32-bit burst over csum undetected"
+        );
     }
 }
